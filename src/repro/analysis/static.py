@@ -25,9 +25,9 @@ and derives a :class:`StaticReport` whose headline products are the
 and **static upper bounds on every coverage metric** — proven
 over-approximations of the dynamic ACE/IBR analyses (see the bound
 methods for the per-metric soundness arguments).  A bound of exactly
-``0.0`` is a certificate that the golden run is pointless: the
-candidate *cannot* score, and :mod:`repro.analysis.screen` uses that
-to skip its simulation entirely.
+``0.0`` is a certificate that the candidate *cannot* score; the
+evaluator's screen (:mod:`repro.analysis.screen`) finds those zeros by
+counting opcode classes, so this pass runs only under ``--paranoid``.
 
 Soundness is enforced two ways: the ``--paranoid`` evaluator mode
 asserts ``dynamic <= bound`` on every graded program, and
@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.isa.instructions import FUClass, Instruction
+from repro.isa.instructions import FUClass, Instruction, InstructionDef
 from repro.isa.operands import (
     MemOperand,
     OperandKind,
@@ -128,6 +128,16 @@ class InstrFacts:
         return self.mem_bits > 0
 
 
+#: PUSH/POP access the stack without a MEM operand slot: their class
+#: is the only static giveaway.
+_STACK_CLASSES = (FUClass.LOAD, FUClass.STORE)
+
+
+def accesses_memory(definition: InstructionDef) -> bool:
+    """:attr:`InstrFacts.is_memory`, decided from the opcode alone."""
+    return definition.is_memory or definition.fu_class in _STACK_CLASSES
+
+
 def instruction_facts(index: int, instruction: Instruction) -> InstrFacts:
     """Derive the read/write/memory facts of one instruction.
 
@@ -159,10 +169,7 @@ def instruction_facts(index: int, instruction: Instruction) -> InstrFacts:
                 mem_bits = max(mem_bits, spec.width)
         elif isinstance(operand, RelOperand):
             branch_disp = operand.displacement
-    # PUSH/POP access the stack without a MEM operand slot: their
-    # class is the only static giveaway.
-    if mem_bits == 0 and definition.fu_class in (FUClass.LOAD,
-                                                 FUClass.STORE):
+    if mem_bits == 0 and definition.fu_class in _STACK_CLASSES:
         mem_bits = 64
         is_load = definition.fu_class is FUClass.LOAD
         is_store = definition.fu_class is FUClass.STORE
@@ -208,8 +215,8 @@ class StaticReport:
     corresponding dynamic coverage metrics, valid for any fault-free
     golden run of the program on ``machine``.  ``0.0`` is a
     certificate that the metric *must* grade to zero (crashing runs
-    grade to zero by definition), which is exactly the property
-    screening relies on — no false skips.
+    grade to zero by definition); the ``--paranoid`` oracle requires
+    it of every candidate the screen skips.
     """
 
     name: str
@@ -342,20 +349,6 @@ class StaticReport:
         return min(
             1.0, (count * per_op) / (unit_width * cycles_floor)
         )
-
-    def metric_bounds(
-        self, machine: MachineConfig = DEFAULT_MACHINE
-    ) -> Dict[str, float]:
-        """The irf/l1d bounds plus one IBR bound per graded unit."""
-        bounds = {
-            "ace_irf": self.ace_irf_bound(machine),
-            "ace_l1d": self.ace_l1d_bound(machine),
-        }
-        for fu_class in _UNIT_INPUT_WIDTH:
-            bounds[f"ibr_{fu_class.value}"] = self.ibr_bound(
-                fu_class, machine
-            )
-        return bounds
 
 
 def _liveness_fixpoint(

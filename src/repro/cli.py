@@ -155,7 +155,6 @@ def _cmd_loop(args: argparse.Namespace) -> int:
             fleet_listen=fleet_listen,
             iterations=args.iterations,
             seed=args.seed,
-            static_screen=not args.no_static_screen,
             paranoid=args.paranoid,
             explain_top=args.explain_top,
             explain_dir=args.explain_dir,
@@ -562,12 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-eval-cache", action="store_true",
         help="disable the evaluation cache (every candidate "
              "re-simulates; results are identical, just slower)",
-    )
-    loop_parser.add_argument(
-        "--no-static-screen", action="store_true",
-        help="disable static zero-bound screening (candidates the "
-             "analyzer proves score zero simulate anyway; output is "
-             "byte-identical, just slower)",
     )
     loop_parser.add_argument(
         "--paranoid", action="store_true",

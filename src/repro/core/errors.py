@@ -80,7 +80,8 @@ class CandidateEvaluationError(EvaluationError):
 
 
 class StaticOracleError(EvaluationError):
-    """A dynamic coverage score exceeded its static upper bound.
+    """A dynamic coverage score exceeded its static upper bound, or the
+    screen skipped a candidate whose bound is not zero (``screened``).
 
     Raised only under the evaluator's ``--paranoid`` differential
     oracle.  This is never a candidate problem: it means either the
@@ -97,10 +98,12 @@ class StaticOracleError(EvaluationError):
         metric_name: str,
         fitness: float,
         bound: float,
+        screened: bool = False,
     ):
+        claim = "screened" if screened else "dynamic"
         super().__init__(
-            f"static oracle violated for {program_name!r}: dynamic "
-            f"{metric_name}={fitness!r} exceeds static bound {bound!r}",
+            f"static oracle violated for {program_name!r}: {claim} "
+            f"{metric_name}={fitness!r} vs static bound {bound!r}",
             program_name,
         )
         self.metric_name = metric_name

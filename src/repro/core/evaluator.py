@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro import obs
-from repro.analysis.screen import static_bound
+from repro.analysis.screen import should_skip, static_bound
 from repro.core.errors import StaticOracleError
 from repro.core.evalcache import (
     EvaluationCache,
@@ -92,11 +92,11 @@ class EvalHealth:
     #: off — operators read the saved work off the
     #: ``repro_eval_cache_*`` obs series instead.
     cache_hits: int = 0
-    #: Candidates scored without simulating because the static
-    #: analyzer proved their coverage bound is zero.  Like
+    #: Candidates scored without simulating because the screen
+    #: proved their coverage is zero.  Like
     #: ``cache_hits``, deliberately absent from :meth:`as_dict` and
     #: :meth:`summary` so checkpoints and stdout stay byte-identical
-    #: with screening on or off — operators read the saved work off
+    #: to a run that simulated them — operators read the saved work off
     #: the ``repro_static_screen_skips_total`` obs series.
     static_skips: int = 0
     retries: int = 0
@@ -263,7 +263,6 @@ class Evaluator:
         eval_timeout: Optional[float] = None,
         max_retries: int = 0,
         cache: Optional[EvaluationCache] = None,
-        static_screen: bool = True,
         paranoid: bool = False,
     ):
         self.metric = metric
@@ -272,7 +271,6 @@ class Evaluator:
         self.eval_timeout = eval_timeout
         self.max_retries = max_retries
         self.cache = cache
-        self.static_screen = static_screen
         self.paranoid = paranoid
         self._cache_context: Optional[bytes] = None
         self._health = EvalHealth()
@@ -314,41 +312,27 @@ class Evaluator:
         Never raises for a candidate failure: misbehaving programs come
         back quarantined with :data:`QUARANTINE_FITNESS`.
 
-        With ``static_screen`` enabled (the default), every candidate
-        is first run through the simulation-free static analyzer
-        (:mod:`repro.analysis.screen`): candidates whose static
-        coverage upper bound is exactly zero are scored ``0.0``
-        without simulating or consulting the cache.  A screened
-        candidate is indistinguishable in campaign output from a
-        simulated zero — same fitness, same (stable-sort) ranking
-        position, same health digest — and is tallied in
+        Candidates that provably score zero are found by counting
+        opcode classes (:mod:`repro.analysis.screen`) and scored
+        ``0.0`` without simulating or consulting the cache.  A
+        screened candidate is indistinguishable in campaign output
+        from a simulated zero — same fitness, same (stable-sort)
+        ranking position, same health digest — and is tallied in
         ``health.static_skips`` + ``repro_static_screen_skips_total``.
 
-        With ``paranoid`` enabled, every graded (non-quarantined)
-        result is differentially checked against its static bound and
-        a violation raises :class:`StaticOracleError` loudly — a
-        standing sanitizer for both the analyzer and the simulator.
+        With ``paranoid`` enabled, every candidate is differentially
+        checked against its static analyzer bound — a screened one
+        must have a bound of exactly zero, a graded (non-quarantined)
+        score may not exceed it — and a violation raises
+        :class:`StaticOracleError` loudly: a standing sanitizer for
+        the screen, the analyzer and the simulator.
         """
         programs = list(programs)
-        if not programs or not (self.static_screen or self.paranoid):
-            return self._evaluate_cached(programs)
-        bounds = [
-            static_bound(program, self.metric, self.machine)
-            for program in programs
+        screened = [should_skip(program, self.metric) for program in programs]
+        simulate = [
+            program for program, skip in zip(programs, screened) if not skip
         ]
-        results: List[Optional[EvaluatedProgram]] = [None] * len(programs)
-        simulate_indices: List[int] = []
-        for index, bound in enumerate(bounds):
-            if self.static_screen and bound == 0.0:
-                results[index] = EvaluatedProgram(
-                    program=programs[index],
-                    fitness=0.0,
-                    total_cycles=0,
-                    crashed=False,
-                )
-            else:
-                simulate_indices.append(index)
-        skipped = len(programs) - len(simulate_indices)
+        skipped = len(programs) - len(simulate)
         if skipped:
             self._health.evaluations += skipped
             self._health.static_skips += skipped
@@ -362,20 +346,27 @@ class Evaluator:
                 skipped,
                 "Simulations skipped by the zero-bound static screen",
             )
-        if simulate_indices:
-            graded = self._evaluate_cached(
-                [programs[index] for index in simulate_indices]
-            )
-            for spot, evaluated in zip(simulate_indices, graded):
-                if self.paranoid:
-                    self._oracle_check(evaluated, bounds[spot])
-                results[spot] = evaluated
-        return [entry for entry in results if entry is not None]
+        graded = iter(self._evaluate_cached(simulate) if simulate else ())
+        results = [
+            EvaluatedProgram(
+                program=program, fitness=0.0, total_cycles=0, crashed=False
+            ) if skip else next(graded)
+            for program, skip in zip(programs, screened)
+        ]
+        if self.paranoid:
+            for program, evaluated, skip in zip(programs, results, screened):
+                bound = static_bound(program, self.metric, self.machine)
+                self._oracle_check(evaluated, bound, screened=skip)
+        return results
 
     def _oracle_check(
-        self, evaluated: EvaluatedProgram, bound: Optional[float]
+        self,
+        evaluated: EvaluatedProgram,
+        bound: Optional[float],
+        screened: bool = False,
     ) -> None:
-        """Paranoid differential oracle: dynamic score <= static bound.
+        """Paranoid differential oracle: dynamic score <= static bound,
+        and a ``screened`` candidate's bound must be exactly zero.
 
         Runs in the parent process on the returned record so it covers
         every execution substrate uniformly — inline, local pool,
@@ -383,12 +374,13 @@ class Evaluator:
         exempt (their sentinel fitness is not a coverage value)."""
         if bound is None or evaluated.error_kind is not None:
             return
-        if evaluated.fitness > bound + 1e-9:
+        if evaluated.fitness > bound + 1e-9 or (screened and bound != 0.0):
             raise StaticOracleError(
                 program_name=evaluated.program.name,
                 metric_name=self.metric.name,
                 fitness=evaluated.fitness,
                 bound=bound,
+                screened=screened,
             )
 
     def _evaluate_cached(

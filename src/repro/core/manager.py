@@ -90,7 +90,6 @@ class Manager:
         eval_cache_size: Optional[int] = DEFAULT_EVAL_CACHE_SIZE,
         fleet_listen: Optional[Tuple[str, int]] = None,
         eval_cache: Optional[EvaluationCache] = None,
-        static_screen: bool = True,
         paranoid: bool = False,
     ):
         self.target = target
@@ -124,7 +123,6 @@ class Manager:
                 program_scale=dist_scales[0],
                 loop_scale=dist_scales[1],
                 fleet_listen=fleet_listen,
-                static_screen=static_screen,
                 paranoid=paranoid,
             )
         else:
@@ -135,7 +133,6 @@ class Manager:
                 eval_timeout=eval_timeout,
                 max_retries=max_retries,
                 cache=cache,
-                static_screen=static_screen,
                 paranoid=paranoid,
             )
         self.mutator: Mutator = InstructionReplacementMutator(

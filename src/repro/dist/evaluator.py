@@ -68,7 +68,6 @@ class DistributedEvaluator(Evaluator):
         steal_delay: float = 1.0,
         fleet_listen: Optional[Tuple[str, int]] = None,
         breaker_threshold: int = 5,
-        static_screen: bool = True,
         paranoid: bool = False,
     ):
         super().__init__(
@@ -78,7 +77,6 @@ class DistributedEvaluator(Evaluator):
             eval_timeout=eval_timeout,
             max_retries=max_retries,
             cache=cache,
-            static_screen=static_screen,
             paranoid=paranoid,
         )
         self.coordinator = Coordinator(

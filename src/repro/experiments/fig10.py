@@ -207,7 +207,6 @@ def run_target(
     stop_check: Optional[Callable[[], bool]] = None,
     on_point: Optional[Callable[[ConvergencePoint], None]] = None,
     resume_points: Optional[Sequence[ConvergencePoint]] = None,
-    static_screen: bool = True,
     paranoid: bool = False,
     explain_top: int = 0,
     explain_dir: Optional[str] = None,
@@ -234,11 +233,9 @@ def run_target(
     run of this campaign already sampled, so a resumed campaign's
     final output is byte-identical to an uninterrupted one.
 
-    ``static_screen`` (on by default) lets the evaluator score
-    provably-zero-coverage candidates without simulating them —
-    stdout is byte-identical either way; ``paranoid`` additionally
-    cross-checks every dynamic score against its static upper bound
-    and fails the run loudly on a violation.
+    ``paranoid`` cross-checks every dynamic score (and every screened
+    zero) against its static upper bound and fails the run loudly on
+    a violation.
 
     ``explain_top`` (0 = off) minimizes + localizes that many of the
     final campaign's detections into ``curve.witnesses`` (written to
@@ -259,7 +256,6 @@ def run_target(
         eval_cache_size=eval_cache_size,
         fleet_listen=fleet_listen,
         eval_cache=eval_cache,
-        static_screen=static_screen,
         paranoid=paranoid,
     )
     curve = ConvergenceCurve(target=target.key, title=target.title)

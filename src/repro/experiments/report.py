@@ -88,9 +88,9 @@ def campaign_operators(curves) -> str:
     """Cache/screening effectiveness digest across the Fig 10 runs.
 
     ``EvalHealth`` deliberately keeps ``cache_hits`` and
-    ``static_skips`` out of its stdout summary — they vary with cache
-    and screening settings while the report's stdout must stay
-    byte-comparable across them — so this digest surfaces the "how
+    ``static_skips`` out of its stdout summary — cache hits vary with
+    the cache setting while the report's stdout must stay
+    byte-comparable across it — so this digest surfaces the "how
     much simulation did the platform avoid?" numbers on stderr, next
     to the latency table.  Empty string when no loop ran.
     """
@@ -158,8 +158,8 @@ def run_all(
         print(latency, file=sys.stderr)
     operators = campaign_operators(curves)
     if operators:
-        # Also stderr: cache hits and static skips vary with cache
-        # and screening settings, which must not move stdout.
+        # Also stderr: cache hits vary with the cache setting, which
+        # must not move stdout.
         print(operators, file=sys.stderr)
 
     comparison = fig11.run(

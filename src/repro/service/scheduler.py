@@ -107,7 +107,6 @@ class CampaignScheduler:
         eval_cache_size: int = DEFAULT_EVAL_CACHE_SIZE,
         eval_timeout: Optional[float] = None,
         max_retries: int = 0,
-        static_screen: bool = True,
         paranoid: bool = False,
         explain_top: int = 0,
     ):
@@ -126,7 +125,6 @@ class CampaignScheduler:
         self.workers_per_campaign = workers_per_campaign
         self.eval_timeout = eval_timeout
         self.max_retries = max_retries
-        self.static_screen = static_screen
         self.paranoid = paranoid
         #: Witnesses per finished campaign (0 = off).  Artifacts land
         #: under the job's checkpoint dir; job output is unchanged.
@@ -308,7 +306,6 @@ class CampaignScheduler:
                 stop_check=stop_check,
                 on_point=on_point,
                 resume_points=resume_points,
-                static_screen=self.static_screen,
                 paranoid=self.paranoid,
                 explain_top=self.explain_top,
                 explain_dir=(

@@ -266,15 +266,23 @@ class ResilientPool:
                 # Keep at most ``workers`` tasks in flight so a freshly
                 # submitted task starts (approximately) immediately and
                 # its wall-clock budget measures execution, not queueing.
-                while pending and len(order) < workers:
-                    task = pending.popleft()
-                    if task.delay > 0:
-                        time.sleep(task.delay)
-                        task.delay = 0.0
-                    task.submitted = time.monotonic()
-                    future = executor.submit(fn, task.item)
-                    inflight[future] = task
-                    order.append(future)
+                try:
+                    while pending and len(order) < workers:
+                        task = pending.popleft()
+                        if task.delay > 0:
+                            time.sleep(task.delay)
+                            task.delay = 0.0
+                        task.submitted = time.monotonic()
+                        future = executor.submit(fn, task.item)
+                        inflight[future] = task
+                        order.append(future)
+                except BrokenExecutor as exc:
+                    # A worker died before this task could be queued:
+                    # the same crash as one seen through a result.
+                    self._respawn(executor, task, exc, inflight, order,
+                                  outcomes, pending)
+                    executor = None
+                    continue
                 future = order[0]
                 task = inflight[future]
                 budget = None
@@ -284,36 +292,11 @@ class ResilientPool:
                     )
                 try:
                     value = future.result(budget)
-                except FuturesTimeoutError:
+                except (FuturesTimeoutError, BrokenExecutor) as exc:
                     self._drop(future, inflight, order)
-                    self._harvest(fn, inflight, order, outcomes, pending)
-                    self._retire(executor)
+                    self._respawn(executor, task, exc, inflight, order,
+                                  outcomes, pending)
                     executor = None
-                    self.respawns += 1
-                    obs.inc(
-                        "repro_pool_respawns_total",
-                        help_text="Process-pool reconstructions",
-                    )
-                    self._finish_or_retry(
-                        task, STATUS_TIMED_OUT, pending, outcomes,
-                        error=f"exceeded {self.timeout:.3f}s wall-clock budget",
-                        error_type="TimeoutError",
-                    )
-                except BrokenExecutor as exc:
-                    self._drop(future, inflight, order)
-                    self._harvest(fn, inflight, order, outcomes, pending)
-                    self._retire(executor)
-                    executor = None
-                    self.respawns += 1
-                    obs.inc(
-                        "repro_pool_respawns_total",
-                        help_text="Process-pool reconstructions",
-                    )
-                    self._finish_or_retry(
-                        task, STATUS_CRASHED, pending, outcomes,
-                        error=str(exc) or "worker process died",
-                        error_type=type(exc).__name__,
-                    )
                 except Exception as exc:  # fn raised inside the worker
                     self._drop(future, inflight, order)
                     self._finish_or_retry(
@@ -337,7 +320,10 @@ class ResilientPool:
             if executor is not None:
                 self._retire(executor)
             raise
-        # Normal exit: the executor stays warm for the next map() call.
+        # Normal exit: an executor stays warm for the next map() call,
+        # including when the last task's crash or timeout retired it.
+        if executor is None:
+            self._lease_executor(workers)
 
     def _lease_executor(self, workers: int) -> ProcessPoolExecutor:
         """The persistent executor, (re)created on demand.
@@ -353,6 +339,31 @@ class ResilientPool:
             self._executor_workers = workers
         return self._executor
 
+    def _respawn(self, executor, task, exc, inflight, order, outcomes,
+                 pending) -> None:
+        """``task`` timed out or its worker died: salvage the in-flight
+        siblings, retire the executor (the caller leases a new one),
+        then retry or finish ``task``."""
+        self._harvest(inflight, order, outcomes, pending)
+        self._retire(executor)
+        self.respawns += 1
+        obs.inc(
+            "repro_pool_respawns_total",
+            help_text="Process-pool reconstructions",
+        )
+        if isinstance(exc, FuturesTimeoutError):
+            self._finish_or_retry(
+                task, STATUS_TIMED_OUT, pending, outcomes,
+                error=f"exceeded {self.timeout:.3f}s wall-clock budget",
+                error_type="TimeoutError",
+            )
+        else:
+            self._finish_or_retry(
+                task, STATUS_CRASHED, pending, outcomes,
+                error=str(exc) or "worker process died",
+                error_type=type(exc).__name__,
+            )
+
     def _retire(self, executor: ProcessPoolExecutor) -> None:
         """Tear an executor down hard and forget it if persistent."""
         self._kill(executor)
@@ -367,7 +378,6 @@ class ResilientPool:
 
     def _harvest(
         self,
-        fn,
         inflight: Dict[Any, _Task],
         order: Deque[Any],
         outcomes: List[Optional[TaskOutcome]],

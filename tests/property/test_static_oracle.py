@@ -6,8 +6,10 @@ The static screen's entire safety case is two inequalities:
   upper bound from :func:`repro.analysis.screen.static_bound` is >=
   the dynamically graded coverage (else ``--paranoid`` would abort
   real campaigns); and
-* **no false skips** — a candidate the screen would drop (bound ==
-  0.0) must grade to exactly zero dynamically (else screening would
+* **no false skips** — a zero bound must grade to exactly zero
+  dynamically, and so must every candidate the evaluator's
+  opcode-class count drops (:func:`repro.analysis.screen.should_skip`),
+  whose analyzer bound must be exactly 0.0 too (else screening would
   change campaign results, breaking stdout byte-identity).
 
 Both are checked here over 500 constrained-random programs — every
@@ -19,9 +21,10 @@ subsets of the statically derived ones.
 
 import pytest
 
-from repro.analysis.screen import report_bound, static_bound
+from repro.analysis.screen import report_bound, should_skip, static_bound
 from repro.analysis.static import (
     FLAGS,
+    accesses_memory,
     analyze_program,
     instruction_facts,
 )
@@ -105,6 +108,36 @@ def test_zero_bound_programs_grade_to_zero(sweep):
     # The generator's FU mix leaves many classes untouched per
     # program, so zero bounds must be plentiful across the sweep.
     assert zero_bounds > 0
+
+
+def test_count_screen_skips_only_zero_bounds(sweep):
+    """The fast path: a count-zero candidate has analyzer bound 0.0
+    and grades to exactly 0.0."""
+    metrics = _metrics()
+    skips = 0
+    for program, report, golden in sweep:
+        scoped = DEFAULT_MACHINE.for_program(program.data_size)
+        for metric in metrics:
+            if not should_skip(program, metric):
+                continue
+            skips += 1
+            assert report_bound(report, metric, scoped) == 0.0, (
+                f"{program.name}: {metric.name} count-screened but "
+                "the analyzer bound is nonzero"
+            )
+            assert metric(golden) == 0.0, (
+                f"{program.name}: {metric.name} count-screened but "
+                "grades nonzero — a false skip"
+            )
+    assert skips > 0
+
+
+def test_memory_predicate_matches_instruction_facts(sweep):
+    """The screen's opcode-level memory notion is the analyzer's."""
+    for program, report, golden in sweep:
+        for index, instruction in enumerate(program.instructions):
+            assert accesses_memory(instruction.definition) == \
+                instruction_facts(index, instruction).is_memory
 
 
 def test_dynamic_access_sets_are_subsets_of_static_facts(sweep):

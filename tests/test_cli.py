@@ -89,6 +89,15 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    def test_removed_static_screen_flag_exits_2(self, capsys):
+        # The screen is an exact opcode-class count with nothing to
+        # switch off; the old opt-out is now an unknown option.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["loop", "fp_mul", "--scale", "smoke",
+                  "--no-static-screen"])
+        assert excinfo.value.code == 2
+        assert "--no-static-screen" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["abc", "", "  ", "0", "-2"])
     def test_malformed_worker_count_exits_2(self, capsys, value):
         exit_code = main([

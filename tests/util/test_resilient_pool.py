@@ -9,6 +9,7 @@ import os
 import signal
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -285,6 +286,16 @@ class TestInlineTimeout:
         assert seen["supported"] is False
 
 
+class _BrokenExecutor:
+    """An executor whose workers already died: submit() raises."""
+
+    def submit(self, fn, item):
+        raise BrokenProcessPool("a worker died before submit")
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
 class TestPersistentExecutor:
     """One process-pool spawn per campaign, not per generation: the
     executor leased for a map() call stays warm for the next one."""
@@ -350,6 +361,26 @@ class TestPersistentExecutor:
             clean = pool.map(_square, [1, 2, 3])
             assert all(o.ok for o in clean)
             assert pool._executor is survivor
+        finally:
+            pool.close()
+
+    def test_crash_seen_at_submit_is_retired_and_retried(self):
+        """A worker death can surface from ``executor.submit`` rather
+        than from a result: it must take the same crash path (retire,
+        count a respawn, retry the task) instead of escaping map()."""
+        pool = ResilientPool(workers=2, max_retries=1)
+        lease = pool._lease_executor
+        broken = [_BrokenExecutor()]
+        pool._lease_executor = lambda workers: (
+            broken.pop() if broken else lease(workers)
+        )
+        try:
+            outcomes = pool.map(_square, [1, 2, 3])
+            assert [o.value for o in outcomes] == [1, 4, 9]
+            assert [o.attempts for o in outcomes] == [2, 1, 1]
+            assert pool.respawns == 1
+            assert not pool.degraded
+            assert pool._executor is not None
         finally:
             pool.close()
 

@@ -34,8 +34,10 @@ def main(argv=None) -> int:
     parser.add_argument("--top", type=int, default=1)
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument(
-        "--out", default="explain-artifacts",
-        help="directory for the witness artifacts (uploaded by CI)",
+        "--out", default="benchmarks/artifacts/explain",
+        help="directory for the witness artifacts (default: the "
+             "git-ignored benchmarks/artifacts/explain; CI uploads "
+             "the directory it passes)",
     )
     args = parser.parse_args(argv)
 
