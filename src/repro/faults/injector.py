@@ -129,6 +129,7 @@ class FaultInjector:
             return InjectionResult(
                 fault, Outcome.CRASH, crash_kind=result.crash.kind
             )
+        # Exact: registers, flags and every data-region byte.
         if result.output != self.golden_output:
             return InjectionResult(fault, Outcome.SDC)
         return InjectionResult(fault, Outcome.MASKED)
@@ -312,7 +313,7 @@ class FaultInjector:
             return InjectionResult(fault, Outcome.MASKED)
         if not loads_hit and overrides.final_mem_xor:
             # Faulty dirty data reached memory and nothing consumed it
-            # earlier: the output signature over the data region flags it.
+            # earlier: the final data region differs from the golden one.
             self.last_overrides = overrides
             return InjectionResult(fault, Outcome.SDC)
         return self._rerun(overrides, fault)

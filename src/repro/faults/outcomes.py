@@ -5,7 +5,8 @@ Each injection ends in exactly one of three outcomes:
 * **Masked** — the fault never reaches the program output; the faulty
   run's architectural output matches the golden run.
 * **SDC** — the output differs silently (the functional test *detects*
-  this because the wrapper compares output signatures).
+  this; the injector compares the final registers, flags and data
+  region with the golden run's exactly).
 * **Crash** — the faulty run raised an architectural trap.
 
 A program's *detection capability* is ``(SDC + Crash) / injected``: the

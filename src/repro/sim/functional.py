@@ -3,7 +3,7 @@
 Executes a :class:`~repro.isa.program.Program` instruction by
 instruction with full ISA semantics, producing:
 
-* the architectural output (final registers + memory signature) the
+* the architectural output (final registers + data region) the
   wrapper would emit,
 * a per-instruction trace (:mod:`repro.sim.trace`) consumed by the OoO
   timing model, the coverage metrics and the fault injector,

@@ -2,14 +2,15 @@
 
 The wrapper around each generated test (paper §V-D) initializes every
 register and the data region deterministically from a seed, and the
-program's *output* is the final architectural register state plus a
-signature over the accessed memory region.  Both live here.
+program's *output* is the final architectural register state plus the
+data region, which the wrapper reports as a signature.  Both live here.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Dict, List, Tuple
 
 from repro.isa import registers
@@ -62,7 +63,7 @@ class Memory:
         buffer[offset] ^= xor_mask & 0xFF
 
     def data_bytes(self) -> bytes:
-        """The entire data region (signature input)."""
+        """The entire data region (part of the program output)."""
         return bytes(self._data)
 
     def fill_data(self, data: bytes) -> None:
@@ -96,7 +97,26 @@ def initial_state(
     * XMM registers get seeded pseudo-random *finite float* lane values
       (or zero with ``zero_fp``) so FP ops start from sane numbers,
     * the data region is filled with seeded pseudo-random bytes.
+
+    The image is memoized, so the re-runs of one program share it;
+    every call gets its own mutable registers and memory.
     """
+    gprs, xmms, data = _initial_image(seed, layout, zero_fp)
+    memory = Memory(layout)
+    memory.fill_data(data)
+    return ArchState(
+        gprs=dict(gprs), xmms=dict(xmms), flags=Flags(), memory=memory
+    )
+
+
+# Fault-injection re-runs and re-grades repeat one program's seed while
+# golden runs draw a new one each time, so two entries catch every
+# repeat; each entry holds a whole data region.
+@lru_cache(maxsize=2)
+def _initial_image(
+    seed: int, layout: MemoryMap, zero_fp: bool
+) -> Tuple[Tuple[Tuple[str, int], ...], Tuple[Tuple[str, int], ...], bytes]:
+    """The seeded registers and data bytes behind :func:`initial_state`."""
     rng = random.Random((seed * 2654435761) % (1 << 64) + 1)
     gprs = {reg.name: rng.getrandbits(64) for reg in registers.GPR}
     gprs["rbp"] = layout.data_base
@@ -118,19 +138,29 @@ def initial_state(
         for i, lane in enumerate(lanes):
             value |= lane << (32 * i)
         xmms[reg.name] = value
-    memory = Memory(layout)
-    memory.fill_data(bytes(rng.getrandbits(8) for _ in range(layout.data_size)))
-    return ArchState(gprs=gprs, xmms=xmms, flags=Flags(), memory=memory)
+    # One draw of N 32-bit words; byte 4i+3 of its little-endian bytes
+    # is the top byte of word i, which is what ``getrandbits(8)`` would
+    # have returned for byte i.
+    size = layout.data_size
+    data = rng.getrandbits(32 * size).to_bytes(4 * size, "little")[3::4]
+    return tuple(gprs.items()), tuple(xmms.items()), data
 
 
 @dataclass(frozen=True)
 class ProgramOutput:
-    """The observable output of a completed run (wrapper output, §V-D)."""
+    """The observable output of a completed run (wrapper output, §V-D).
+
+    Equality compares the final registers, flags and data-region bytes
+    exactly, which is how a faulty run is told apart from the golden
+    one.  The wrapper's CRC-64 over the data region is computed only
+    when something reads :attr:`memory_signature`.
+    """
 
     gprs: Tuple[Tuple[str, int], ...]
     xmms: Tuple[Tuple[str, int], ...]
     rflags: int
-    memory_signature: int
+    #: The final data region.
+    data: bytes = field(repr=False)
 
     @classmethod
     def from_state(cls, state: ArchState) -> "ProgramOutput":
@@ -138,8 +168,13 @@ class ProgramOutput:
             gprs=tuple(sorted(state.gprs.items())),
             xmms=tuple(sorted(state.xmms.items())),
             rflags=state.flags.to_rflags(),
-            memory_signature=crc64(state.memory.data_bytes()),
+            data=state.memory.data_bytes(),
         )
+
+    @cached_property
+    def memory_signature(self) -> int:
+        """The wrapper's CRC-64 signature over the data region."""
+        return crc64(self.data)
 
     def signature(self) -> int:
         """Single 64-bit signature over the whole output."""

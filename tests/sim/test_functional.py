@@ -173,6 +173,29 @@ class TestOverrides:
         assert faulty.output.memory_signature != \
             golden.output.memory_signature
 
+    def test_crc_collision_still_differs(self, isa):
+        """The CRC-64 has zero init and no final XOR, so XOR-ing its
+        generator polynomial (with the x^64 term) into memory at any
+        offset leaves the signature unchanged.  The verdict must not."""
+        from repro.faults.injector import FaultInjector
+        from repro.faults.outcomes import Outcome
+        from repro.sim.cosim import golden_run
+
+        program = _program(isa, [make(isa.by_name("nop"))])
+        golden = golden_run(program)
+        polynomial = bytes.fromhex("0142F0E1EBA9EA3693")
+        address = 0x100000 + 777
+        overrides = Overrides(final_mem_xor={
+            address + offset: byte
+            for offset, byte in enumerate(polynomial)
+        })
+        faulty = FunctionalSimulator().run(program, overrides)
+        assert faulty.output.memory_signature == \
+            golden.result.output.memory_signature
+        assert faulty.output != golden.result.output
+        verdict = FaultInjector(golden)._rerun(overrides, fault=None)
+        assert verdict.outcome is Outcome.SDC
+
     def test_reg_read_force_stuck_at(self, isa):
         program = _program(
             isa,
