@@ -258,15 +258,22 @@ def recv_frame(sock: socket.socket) -> Dict[str, object]:
     deadline = time.monotonic() + BODY_TIMEOUT
     header = first + _recv_exact(sock, _HEADER.size - 1, deadline)
     (raw_length,) = _HEADER.unpack(header)
-    compressed = bool(raw_length & COMPRESS_FLAG)
     length = raw_length & ~COMPRESS_FLAG
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"incoming frame claims {length} bytes "
             f"(limit {MAX_FRAME_BYTES}); refusing"
         )
-    payload = _recv_exact(sock, length, deadline)
-    if compressed:
+    return decode_body(raw_length, _recv_exact(sock, length, deadline))
+
+
+def decode_body(raw_length: int, payload: bytes) -> Dict[str, object]:
+    """Decode one frame body given its raw header value.
+
+    Inflates the body when the header carries :data:`COMPRESS_FLAG`
+    and validates the message; a bad body raises :class:`ProtocolError`.
+    """
+    if raw_length & COMPRESS_FLAG:
         payload = _inflate(payload)
     return parse_message(payload)
 
