@@ -209,22 +209,20 @@ def _cmd_explain(args: argparse.Namespace) -> int:
               "count, not a fleet", file=sys.stderr)
         return 2
     spec = targets[args.target]
-    generator = Generator(spec.generation)
     if args.resume is not None:
         try:
             checkpoint = LoopCheckpoint.load(args.resume)
+            best = [decode_evaluated(entry) for entry in checkpoint.best[:1]]
         except CheckpointError as exc:
             print(f"checkpoint error: {exc}", file=sys.stderr)
             return 2
-        if not checkpoint.best:
+        if not best:
             print("checkpoint records no best program yet",
                   file=sys.stderr)
             return 1
-        program = decode_evaluated(
-            checkpoint.best[0], generator
-        ).program
+        program = best[0].program
     else:
-        program = generator.initial_population(
+        program = Generator(spec.generation).initial_population(
             1, base_seed=args.program_seed
         )[0]
     golden = golden_run(program, spec.machine)

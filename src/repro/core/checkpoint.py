@@ -5,11 +5,10 @@ generations at 96-way parallelism (§VI-B1).  A run that dies at
 iteration 49 of 50 must not lose everything, so the loop serializes its
 complete resumable state after each iteration:
 
-* the **population** as policy-aware genome records (a program is
-  reconstructed either by re-running constrained-random generation
-  under its recorded seed, or by realizing its genome through the
-  sequence policy — whichever produced it, so restoration is
-  bit-exact),
+* the **population** as program records: each program's machine code
+  (:mod:`repro.isa.encoding`, the bytes that would ship to the
+  hardware) plus its wrapper parameters and genome, so restoration
+  decodes instead of re-synthesizing and is bit-exact by construction,
 * the **RNG state** of the loop's ``random.Random``,
 * the **history** of :class:`~repro.core.loop.IterationStats`,
 * the current **elite** with its fitnesses, the convergence
@@ -24,6 +23,7 @@ elite and fitness curve for the same seed.
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import os
@@ -33,14 +33,15 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import CheckpointCorruptError, CheckpointError
 from repro.core.evaluator import EvaluatedProgram, EvalHealth
-from repro.core.generator import Generator
+from repro.isa import encoding
+from repro.isa.isa_x64 import x64
 from repro.isa.program import Program
 from repro.util.statefile import payload_checksum, quarantine_file
 
 logger = logging.getLogger("repro.checkpoint")
 
 #: Bump when the on-disk schema changes incompatibly.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: File-name template for per-iteration checkpoints within a directory.
 CHECKPOINT_NAME = "checkpoint_{iteration:06d}.json"
@@ -99,37 +100,52 @@ def evalcache_path(path: str) -> str:
 
 
 def encode_program(program: Program) -> Dict[str, object]:
-    """A JSON-safe, reconstructible record of one population member."""
-    genome = program.metadata.get("genome")
-    if genome is None:
-        genome = tuple(
-            instruction.definition.name
-            for instruction in program.instructions
-        )
-    return {
-        "name": program.name,
-        "seed": program.init_seed,
-        "policy": str(program.metadata.get("policy", "sequence_import")),
-        "genome": list(genome),
-    }
+    """The JSON record of one program: the one program codec.
 
-
-def decode_program(
-    record: Dict[str, object], generator: Generator
-) -> Program:
-    """Reconstruct a population member from its checkpoint record.
-
-    Constrained-random programs consume the RNG during instruction
-    selection, so they are reproduced by re-running the random policy
-    under the recorded seed; everything else realizes the recorded
-    genome through the sequence policy under the same seed.
+    ``code`` is the base64 of the program's machine code.  ``genome``
+    (the synthesized definition sequence the mutator rewrites) is kept
+    only when the synthesizer recorded one, as a single space-joined
+    string: an indented JSON list of thousands of names is slow to
+    dump.  Other ``metadata`` never affects execution and is dropped.
+    Raises :class:`ValueError` for an operand its field cannot hold.
     """
-    name = str(record["name"])
-    seed = int(record["seed"])
-    if record.get("policy") == "constrained_random":
-        return generator.synthesizer.synthesize_random(seed, name=name)
-    genome = tuple(str(entry) for entry in record.get("genome", []))
-    return generator.realize(genome, seed, name=name)
+    code = encoding.encode_program(list(program.instructions))
+    record: Dict[str, object] = {
+        "name": program.name,
+        "init_seed": program.init_seed,
+        "data_size": program.data_size,
+        "source": program.source,
+        "code": base64.b64encode(code).decode("ascii"),
+    }
+    genome = program.metadata.get("genome")
+    if genome is not None:
+        record["genome"] = " ".join(genome)
+    return record
+
+
+def decode_program(record: Dict[str, object]) -> Program:
+    """Rebuild the program :func:`encode_program` recorded.
+
+    Raises :class:`CheckpointError` naming the record when it does not
+    decode (missing field, bad base64, malformed machine code)."""
+    try:
+        code = base64.b64decode(record["code"], validate=True)
+        program = Program(
+            instructions=tuple(encoding.decode_program(x64(), code)),
+            name=str(record["name"]),
+            init_seed=int(record["init_seed"]),
+            data_size=int(record["data_size"]),
+            source=str(record["source"]),
+        )
+        genome = record.get("genome")
+        if genome is not None:
+            program.metadata["genome"] = tuple(genome.split())
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        name = record.get("name") if isinstance(record, dict) else None
+        raise CheckpointError(
+            f"program record {name!r} does not decode: {exc}"
+        ) from exc
+    return program
 
 
 def encode_evaluated(entry: EvaluatedProgram) -> Dict[str, object]:
@@ -143,11 +159,9 @@ def encode_evaluated(entry: EvaluatedProgram) -> Dict[str, object]:
     }
 
 
-def decode_evaluated(
-    record: Dict[str, object], generator: Generator
-) -> EvaluatedProgram:
+def decode_evaluated(record: Dict[str, object]) -> EvaluatedProgram:
     return EvaluatedProgram(
-        program=decode_program(dict(record["program"]), generator),
+        program=decode_program(record["program"]),
         fitness=float(record["fitness"]),
         total_cycles=int(record["total_cycles"]),
         crashed=bool(record["crashed"]),

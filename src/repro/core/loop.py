@@ -266,7 +266,7 @@ class HarpocratesLoop:
         """Load a checkpoint and rebuild loop state from it."""
         checkpoint = LoopCheckpoint.load(resume_from)
         population = [
-            decode_program(dict(record), self.generator)
+            decode_program(record)
             for record in checkpoint.population
         ]
         rng.setstate(decode_rng_state(checkpoint.rng_state))
@@ -284,7 +284,7 @@ class HarpocratesLoop:
             for record in checkpoint.history
         ]
         result.best = [
-            decode_evaluated(dict(record), self.generator)
+            decode_evaluated(record)
             for record in checkpoint.best
         ]
         result.iterations_run = checkpoint.iteration

@@ -18,15 +18,17 @@ Message types
     Coordinator → worker: which target structure to evaluate and at
     what scale (``target``, ``program_scale``, ``loop_scale``,
     ``paper``, ``eval_timeout``, ``max_retries``).  The worker rebuilds
-    the metric/machine/generator locally from the target registry, so
-    only plain JSON ever crosses the wire.  Answered by ``configured``
-    or ``error``.
+    the metric and machine locally from the target registry, so only
+    plain JSON ever crosses the wire.  Answered by ``configured`` or
+    ``error``.
 ``eval``
     Coordinator → worker: a batch of candidates, each a task ``id``
-    plus the same policy-aware genome ``program`` record the
-    checkpoints use (reconstruction is bit-exact, so remote evaluation
-    is deterministic).  Carries a generation sequence tag ``gen``.
-    Answered by ``result``.
+    plus the same ``program`` record the checkpoints use
+    (:func:`repro.core.checkpoint.encode_program`: the program's
+    base64 machine code and wrapper parameters, so the worker decodes
+    exactly the coordinator's program).  A record that does not decode
+    quarantines that candidate only.  Carries a generation sequence
+    tag ``gen``.  Answered by ``result``.
 ``result``
     Worker → coordinator: per-task fitness records (``id``,
     ``fitness``, ``total_cycles``, ``crashed``, ``error_kind``,
@@ -70,7 +72,7 @@ seeds) negotiate the empty set and keep working unchanged.
 
 ``zlib`` (:data:`CAP_ZLIB`)
     Batch compression.  Large frames (``eval`` batches, ``result``
-    batches — at paper scale a generation serializes MBs of genome
+    batches — at paper scale a generation serializes MBs of program
     records) may be sent zlib-compressed: the top bit of the length
     header marks a compressed body, which is inflated (with a
     decompression-bomb guard) before JSON parsing.  Never used before
@@ -94,7 +96,8 @@ from typing import Dict, FrozenSet, Optional
 from repro.core.errors import EvaluationError
 
 #: Bump on incompatible wire changes; checked in the hello handshake.
-PROTOCOL_VERSION = 1
+#: Version 2: ``eval`` program records carry machine code.
+PROTOCOL_VERSION = 2
 
 #: Frames larger than this are rejected outright (corrupt or hostile).
 MAX_FRAME_BYTES = 64 * 1024 * 1024

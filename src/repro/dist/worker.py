@@ -12,10 +12,10 @@ Each connection runs two threads:
 * the **reader** parses frames and answers pings immediately — the
   coordinator's heartbeats get a prompt pong even while a long batch
   is co-simulating, which is what lets it tell slow from dead;
-* the **executor** drains a queue of eval batches, reconstructs each
-  candidate from its policy-aware genome record (bit-exact, the same
-  records the checkpoints use), grades the batch, and streams the
-  ``result`` frame back.
+* the **executor** drains a queue of eval batches, decodes each
+  candidate's machine code from its program record (the same records
+  the checkpoints use), grades the batch, and streams the ``result``
+  frame back.
 
 Run standalone via the ``repro-worker`` console script or
 ``harpocrates worker``::
@@ -37,8 +37,8 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro import obs
 from repro.core.checkpoint import decode_program
+from repro.core.errors import CheckpointError
 from repro.core.evaluator import QUARANTINE_FITNESS, Evaluator
-from repro.core.generator import Generator
 from repro.core.targets import paper_targets, scaled_targets
 from repro.dist import protocol
 from repro.dist.membership import ExponentialBackoff, announce
@@ -102,7 +102,6 @@ class _Connection:
         self.sock = sock
         self.send_lock = threading.Lock()
         self.batches: "queue.Queue[Optional[dict]]" = queue.Queue()
-        self.generator: Optional[Generator] = None
         self.evaluator: Optional[Evaluator] = None
         #: Capabilities negotiated with this coordinator.
         self.caps: FrozenSet[str] = frozenset()
@@ -446,7 +445,6 @@ class WorkerServer:
             max_retries = self.max_retries
             if max_retries is None:
                 max_retries = int(message.get("max_retries", 0))
-            connection.generator = Generator(spec.generation)
             connection.evaluator = self.evaluator_factory(
                 spec, self.slots, eval_timeout, max_retries
             )
@@ -475,7 +473,7 @@ class WorkerServer:
                 self._track_settled()
 
     def _evaluate_batch(self, connection: _Connection, message: dict) -> None:
-        if connection.evaluator is None or connection.generator is None:
+        if connection.evaluator is None:
             connection.send({
                 "type": MSG_ERROR,
                 "message": "eval before configure",
@@ -495,9 +493,9 @@ class WorkerServer:
             task_id = int(entry["id"])
             record = dict(entry["program"])
             try:
-                program = decode_program(record, connection.generator)
-            except Exception:
-                # A record this host cannot reconstruct costs that
+                program = decode_program(record)
+            except CheckpointError:
+                # A record this host cannot decode costs that
                 # candidate (quarantined), not the batch.
                 undecodable.append(
                     (task_id, str(record.get("name", f"task{task_id}")))

@@ -37,9 +37,7 @@ from repro.explain.report import (
     WITNESS_SCHEMA,
     Witness,
     decode_fault,
-    decode_program,
     encode_fault,
-    encode_program,
     load_witness_program,
     render_witness_json,
     render_witness_text,
@@ -62,9 +60,7 @@ __all__ = [
     "WitnessMinimizer",
     "check_witness",
     "decode_fault",
-    "decode_program",
     "encode_fault",
-    "encode_program",
     "explain_detection",
     "explain_detections",
     "fault_site",

@@ -1,9 +1,9 @@
 """Witness artifacts: stable JSON + human-readable reports.
 
 A *witness* packages everything an engineer needs to reproduce and
-understand one detection: the minimized program (serialized at the
-instruction level, so arbitrary reduced subsets round-trip — the
-checkpoint codec's genome encoding cannot represent them), the exact
+understand one detection: the minimized program (as the checkpoint
+program record, :func:`repro.core.checkpoint.encode_program`, whose
+machine code represents any reduced instruction subset), the exact
 fault descriptor, the outcome, the reduction trace, and the
 localization verdict.
 
@@ -21,6 +21,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.checkpoint import decode_program, encode_program
 from repro.explain.localize import DivergentRecord, Localization
 from repro.faults.models import (
     CacheTransient,
@@ -31,19 +32,11 @@ from repro.faults.models import (
     RegisterTransient,
 )
 from repro.gatelevel.netlist import StuckAt
-from repro.isa import registers
-from repro.isa.instructions import FUClass, Instruction
-from repro.isa.isa_x64 import x64
-from repro.isa.operands import (
-    ImmOperand,
-    MemOperand,
-    RegOperand,
-    RelOperand,
-)
+from repro.isa.instructions import FUClass
 from repro.isa.program import Program
 
 #: Witness JSON schema version (bump on any shape change).
-WITNESS_SCHEMA = 1
+WITNESS_SCHEMA = 2
 
 
 # ---------------------------------------------------------------------------
@@ -123,100 +116,6 @@ def decode_fault(payload: Dict[str, object]):
             duration=int(payload["duration"]),
         )
     raise ValueError(f"unknown fault kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Instruction-level program codec
-# ---------------------------------------------------------------------------
-
-
-def _encode_operand(operand) -> Dict[str, object]:
-    if isinstance(operand, RegOperand):
-        return {"kind": "reg", "reg": operand.reg.name}
-    if isinstance(operand, ImmOperand):
-        return {"kind": "imm", "value": operand.value,
-                "width": operand.width}
-    if isinstance(operand, MemOperand):
-        return {
-            "kind": "mem",
-            "base": None if operand.base is None else operand.base.name,
-            "disp": operand.displacement,
-        }
-    if isinstance(operand, RelOperand):
-        return {"kind": "rel", "disp": operand.displacement}
-    raise TypeError(f"unsupported operand {operand!r}")
-
-
-def _decode_operand(payload: Dict[str, object]):
-    kind = payload.get("kind")
-    if kind == "reg":
-        return RegOperand(registers.by_name(str(payload["reg"])))
-    if kind == "imm":
-        return ImmOperand(int(payload["value"]), int(payload["width"]))
-    if kind == "mem":
-        base = payload.get("base")
-        return MemOperand(
-            None if base is None else registers.by_name(str(base)),
-            int(payload["disp"]),
-        )
-    if kind == "rel":
-        return RelOperand(int(payload["disp"]))
-    raise ValueError(f"unknown operand kind {kind!r}")
-
-
-def encode_instruction(instruction: Instruction) -> Dict[str, object]:
-    """Operand-level JSON form (reconstructible via the ISA registry)."""
-    return {
-        "def": instruction.definition.name,
-        "operands": [
-            _encode_operand(operand) for operand in instruction.operands
-        ],
-    }
-
-
-def decode_instruction(payload: Dict[str, object], isa=None) -> Instruction:
-    isa = isa if isa is not None else x64()
-    return Instruction(
-        isa.by_name(str(payload["def"])),
-        tuple(
-            _decode_operand(operand)
-            for operand in payload.get("operands", ())
-        ),
-    )
-
-
-def encode_program(program: Program) -> Dict[str, object]:
-    """Full instruction-level program form.
-
-    Unlike the checkpoint codec (which re-realizes from a genome and
-    therefore only round-trips generator-shaped programs), this form
-    represents *any* instruction sequence — which is exactly what a
-    minimized witness is.  ``metadata`` is dropped: it may hold
-    non-JSON values and never affects execution.
-    """
-    return {
-        "name": program.name,
-        "init_seed": program.init_seed,
-        "data_size": program.data_size,
-        "source": program.source,
-        "instructions": [
-            encode_instruction(instruction) for instruction in program
-        ],
-    }
-
-
-def decode_program(payload: Dict[str, object], isa=None) -> Program:
-    isa = isa if isa is not None else x64()
-    return Program(
-        instructions=tuple(
-            decode_instruction(entry, isa)
-            for entry in payload.get("instructions", ())
-        ),
-        name=str(payload.get("name", "witness")),
-        init_seed=int(payload.get("init_seed", 0)),
-        data_size=int(payload.get("data_size", 32 * 1024)),
-        source=str(payload.get("source", "witness")),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,10 @@ from repro.util.bitops import to_signed, to_unsigned
 
 RIP_MODE_BYTE = 0x10
 
+#: Register operands are immutable, so decoding shares one per register.
+_GPR_OPERANDS = tuple(RegOperand(reg) for reg in registers.GPR)
+_XMM_OPERANDS = tuple(RegOperand(reg) for reg in registers.XMM)
+
 
 class DecodeError(ValueError):
     """Raised when a byte sequence does not decode to a valid instruction."""
@@ -59,33 +63,41 @@ class DecodeError(ValueError):
 def encode_instruction(instruction: Instruction) -> bytes:
     """Encode one instruction to bytes."""
     definition = instruction.definition
-    parts = bytearray()
-    if definition.opcode > 0xFF:
-        parts.append(SECONDARY_ESCAPE)
-        parts.append(definition.opcode & 0xFF)
-    else:
-        parts.append(definition.opcode)
+    opcode = definition.opcode
+    parts = bytearray(
+        (SECONDARY_ESCAPE, opcode & 0xFF) if opcode > 0xFF else (opcode,)
+    )
     for spec, operand in zip(definition.operands, instruction.operands):
-        parts.extend(_encode_operand(spec.kind, spec.width, operand))
+        kind = spec.kind
+        if kind is OperandKind.GPR or kind is OperandKind.XMM:
+            parts.append(operand.reg.index)
+        else:
+            parts += _encode_operand(kind, spec.width, operand)
     return bytes(parts)
 
 
 def _encode_operand(kind: OperandKind, width: int, operand: Operand) -> bytes:
-    if kind in (OperandKind.GPR, OperandKind.XMM):
-        assert isinstance(operand, RegOperand)
-        return bytes([operand.reg.index])
     if kind is OperandKind.IMM:
         assert isinstance(operand, ImmOperand)
         return operand.value.to_bytes(width // 8, "little")
     if kind is OperandKind.MEM:
         assert isinstance(operand, MemOperand)
         mode = RIP_MODE_BYTE if operand.base is None else operand.base.index
+        _check_signed(operand.displacement, 32, "memory displacement")
         displacement = to_unsigned(operand.displacement, 32)
         return bytes([mode]) + displacement.to_bytes(4, "little")
     if kind is OperandKind.REL:
         assert isinstance(operand, RelOperand)
+        _check_signed(operand.displacement, 8, "branch displacement")
         return to_unsigned(operand.displacement, 8).to_bytes(1, "little")
     raise TypeError(f"cannot encode operand kind {kind}")
+
+
+def _check_signed(value: int, width: int, what: str) -> None:
+    """Reject a value the ``width``-bit field would silently wrap."""
+    bound = 1 << (width - 1)
+    if not -bound <= value < bound:
+        raise ValueError(f"{what} {value} does not fit in int{width}")
 
 
 def encode_program(instructions: List[Instruction]) -> bytes:
@@ -124,13 +136,12 @@ def decode_instruction(
 def _decode_operand(
     kind: OperandKind, width: int, data: bytes, offset: int
 ) -> Tuple[Operand, int]:
-    if kind in (OperandKind.GPR, OperandKind.XMM):
+    if kind is OperandKind.GPR or kind is OperandKind.XMM:
         if offset >= len(data):
             raise DecodeError(offset, "truncated register byte")
-        index = data[offset] & 0x0F  # dense, like the ModRM reg field
-        reg = registers.gpr(index) if kind is OperandKind.GPR \
-            else registers.xmm(index)
-        return RegOperand(reg), offset + 1
+        table = _GPR_OPERANDS if kind is OperandKind.GPR else _XMM_OPERANDS
+        # Dense, like the ModRM reg field: the low 4 bits select.
+        return table[data[offset] & 0x0F], offset + 1
     if kind is OperandKind.IMM:
         size = width // 8
         if offset + size > len(data):

@@ -44,11 +44,15 @@ class Program:
     def with_instructions(
         self, instructions: Tuple[Instruction, ...], name: Optional[str] = None
     ) -> "Program":
-        """Return a copy with a new instruction sequence."""
+        """Return a copy with a new instruction sequence.
+
+        The copy starts with empty ``metadata``: what the synthesizer
+        recorded there (the genome) describes the old sequence."""
         return replace(
             self,
             instructions=tuple(instructions),
             name=name if name is not None else self.name,
+            metadata={},
         )
 
     def fu_class_histogram(self) -> Dict[FUClass, int]:

@@ -49,14 +49,10 @@ class Synthesizer:
         )
         program = wrapper.wrap(benchmark.instructions(), name)
         # The genome (pre-guard definition sequence) is what the
-        # mutation engine rewrites between generations.  The policy
-        # name is recorded because reconstruction differs per policy:
-        # constrained-random programs consume the RNG during selection,
-        # so only re-running the same policy under the same seed (not
-        # realizing the genome) reproduces them bit-exactly — loop
-        # checkpoints rely on this to restore populations.
+        # mutation engine rewrites between generations.  Checkpoints
+        # and the wire carry it beside the machine code, which alone
+        # restores the instructions.
         program.metadata["genome"] = tuple(benchmark.genome())
-        program.metadata["policy"] = policy.name
         return program
 
     def synthesize_random(self, seed: int, name: str = "") -> Program:

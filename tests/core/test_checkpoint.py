@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 
 import pytest
 
@@ -18,6 +19,8 @@ from repro.core.errors import CheckpointError
 from repro.core.evaluator import Evaluator
 from repro.core.generator import Generator
 from repro.core.loop import HarpocratesLoop, LoopConfig
+from repro.core.mutator import InstructionReplacementMutator
+from repro.core.targets import scaled_targets
 from repro.coverage.metrics import IbrCoverage
 from repro.isa.instructions import FUClass
 from repro.microprobe.policies import GenerationConfig
@@ -39,10 +42,9 @@ class TestProgramRecords:
     def test_random_program_roundtrips_bit_exactly(self):
         generator = Generator(GEN_CONFIG)
         program = generator.initial_population(1, base_seed=11)[0]
-        restored = decode_program(encode_program(program), generator)
-        assert restored.to_asm() == program.to_asm()
-        assert restored.name == program.name
-        assert restored.init_seed == program.init_seed
+        restored = decode_program(encode_program(program))
+        assert restored == program
+        assert restored.metadata["genome"] == program.metadata["genome"]
 
     def test_mutated_program_roundtrips_bit_exactly(self):
         generator = Generator(GEN_CONFIG)
@@ -50,8 +52,52 @@ class TestProgramRecords:
         realized = generator.realize(
             generator.genome_of(base), 12345, name="mutant"
         )
-        restored = decode_program(encode_program(realized), generator)
-        assert restored.to_asm() == realized.to_asm()
+        restored = decode_program(encode_program(realized))
+        assert restored == realized
+
+    @pytest.mark.parametrize("target", sorted(scaled_targets(0.05, 0.1)))
+    def test_every_target_roundtrips_bit_exactly(self, target):
+        spec = scaled_targets(0.05, 0.1)[target]
+        generator = Generator(spec.generation)
+        mutator = InstructionReplacementMutator(generator.arch)
+        rng = random.Random(3)
+        programs = generator.initial_population(4, base_seed=21)
+        programs += [
+            generator.realize(
+                mutator.mutate(generator.genome_of(parent), rng),
+                rng.getrandbits(32), name=f"m{index}",
+            )
+            for index, parent in enumerate(programs)
+        ]
+        for program in programs:
+            record = json.loads(json.dumps(encode_program(program)))
+            assert decode_program(record) == program
+
+    def test_record_without_genome_decodes_without_one(self):
+        generator = Generator(GEN_CONFIG)
+        program = generator.initial_population(1, base_seed=11)[0]
+        bare = program.with_instructions(program.instructions[:3])
+        record = encode_program(bare)
+        assert "genome" not in record
+        restored = decode_program(record)
+        assert restored == bare
+        assert "genome" not in restored.metadata
+
+    @pytest.mark.parametrize("code", [
+        "not base64!",       # bad base64
+        "DwcD",              # truncated operand (DecodeError)
+        "AA==",              # unknown opcode 0x00
+    ])
+    def test_undecodable_record_raises_checkpoint_error(self, code):
+        generator = Generator(GEN_CONFIG)
+        record = encode_program(generator.initial_population(1)[0])
+        record["code"] = code
+        with pytest.raises(CheckpointError, match="'gen0_000'"):
+            decode_program(record)
+
+    def test_record_missing_code_raises_checkpoint_error(self):
+        with pytest.raises(CheckpointError, match="'p'"):
+            decode_program({"name": "p", "init_seed": 0})
 
 
 class TestResume:
@@ -153,8 +199,9 @@ class TestCheckpointFiles:
         assert payload["version"] == CHECKPOINT_VERSION
         assert payload["iteration"] == 1
         assert len(payload["population"]) == CONFIG.population
-        assert {"name", "seed", "policy", "genome"} <= \
-            set(payload["population"][0])
+        assert set(payload["population"][0]) == {
+            "name", "init_seed", "data_size", "source", "code", "genome",
+        }
         assert payload["rng_state"][0] == 3  # Mersenne Twister version
 
     def test_corrupt_checkpoint_rejected(self, tmp_path):

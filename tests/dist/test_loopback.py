@@ -197,9 +197,7 @@ class TestWorkerRobustness:
         from repro.core.checkpoint import encode_program
 
         good = encode_program(generator.initial_population(1)[0])
-        bad = {"name": "mystery", "seed": 0,
-               "policy": "sequence_import",
-               "genome": ["not_an_instruction"]}
+        bad = dict(good, name="mystery", code="AA==")  # opcode 0x00
         outcome = coordinator.evaluate([good, bad])
         coordinator.close()
         assert outcome is not None

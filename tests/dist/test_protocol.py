@@ -41,9 +41,10 @@ class TestRoundTrip:
     def test_large_batch_round_trips(self):
         left, right = pair()
         batch = [
-            {"id": i, "program": {"name": f"p{i}", "seed": i,
-                                  "policy": "sequence_import",
-                                  "genome": ["add_r64_r64"] * 50}}
+            {"id": i, "program": {"name": f"p{i}", "init_seed": i,
+                                  "data_size": 2048, "source": "test",
+                                  "code": "DwcD" * 50,
+                                  "genome": " ".join(["add_r64_r64"] * 50)}}
             for i in range(64)
         ]
         received = {}

@@ -4,17 +4,14 @@ import json
 
 import pytest
 
+from repro.core.checkpoint import decode_program, encode_program
 from repro.explain import explain_detections
 from repro.explain.localize import Localization
 from repro.explain.report import (
     WITNESS_SCHEMA,
     Witness,
     decode_fault,
-    decode_instruction,
-    decode_program,
     encode_fault,
-    encode_instruction,
-    encode_program,
     load_witness_program,
     render_witness_json,
     render_witness_text,
@@ -65,6 +62,8 @@ class TestFaultCodec:
 
 
 class TestProgramCodec:
+    """Witnesses carry the checkpoint program record."""
+
     def _program(self, isa):
         return Program(
             instructions=(
@@ -80,19 +79,13 @@ class TestProgramCodec:
 
     def test_instruction_round_trip(self, isa):
         for instruction in self._program(isa):
-            payload = encode_instruction(instruction)
-            decoded = decode_instruction(payload, isa)
-            assert decoded.to_asm() == instruction.to_asm()
+            single = Program(instructions=(instruction,))
+            decoded = decode_program(encode_program(single))
+            assert decoded.instructions == (instruction,)
 
     def test_program_round_trip(self, isa):
         program = self._program(isa)
-        decoded = decode_program(encode_program(program), isa)
-        assert decoded.name == program.name
-        assert decoded.init_seed == program.init_seed
-        assert decoded.data_size == program.data_size
-        assert decoded.source == program.source
-        assert [i.to_asm() for i in decoded] == \
-            [i.to_asm() for i in program]
+        assert decode_program(encode_program(program)) == program
 
     def test_payload_is_json_safe(self, isa):
         payload = encode_program(self._program(isa))

@@ -49,3 +49,16 @@ def test_witness_reproduces_recorded_verdict(path):
         recorded["first_divergence_cycle"]
     assert list(diagnosis.corrupted_outputs) == \
         recorded["corrupted_outputs"]
+
+
+@pytest.mark.parametrize("path", WITNESSES, ids=lambda path: path.stem)
+def test_witness_program_matches_its_listing(path):
+    """The JSON's machine code decodes to the program the ``.txt``
+    report lists, instruction for instruction."""
+    program, _, _ = load_witness_program(str(path))
+    text = path.with_suffix(".txt").read_text(encoding="utf-8")
+    listing = text.split("  program:\n", 1)[1].splitlines()
+    assert listing == [
+        f"    {index:3d}  {instruction.to_asm()}"
+        for index, instruction in enumerate(program)
+    ]

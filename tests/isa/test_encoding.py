@@ -137,3 +137,37 @@ class TestDecodeRejection:
         opcode = isa.by_name("not_r64").opcode
         decoded = decode_program(isa, bytes([opcode, 0xF3]))
         assert decoded[0].operands[0].reg.index == 3
+
+
+class TestEncodeRangeChecks:
+    """A field too narrow for its value must raise, never wrap: the
+    machine code is also the persisted form of every program."""
+
+    def test_branch_displacement_outside_int8_raises(self, isa):
+        with pytest.raises(ValueError, match="branch displacement 200"):
+            encode_instruction(make(isa.by_name("jmp_rel"), rel(200)))
+        with pytest.raises(ValueError, match="int8"):
+            encode_instruction(make(isa.by_name("jmp_rel"), rel(-129)))
+
+    def test_memory_displacement_outside_int32_raises(self, isa):
+        definition = isa.by_name("add_r64_m64")
+        with pytest.raises(ValueError, match="memory displacement"):
+            encode_instruction(
+                make(definition, reg("rbx"), mem("rbp", 2**33 + 5))
+            )
+        with pytest.raises(ValueError, match="int32"):
+            encode_instruction(
+                make(definition, reg("rbx"), mem(None, -(2**31) - 1))
+            )
+
+    def test_field_extremes_round_trip(self, isa):
+        instructions = [
+            make(isa.by_name("jmp_rel"), rel(127)),
+            make(isa.by_name("jmp_rel"), rel(-128)),
+            make(isa.by_name("add_r64_m64"), reg("rbx"),
+                 mem("rbp", 2**31 - 1)),
+            make(isa.by_name("add_r64_m64"), reg("rbx"),
+                 mem(None, -(2**31))),
+        ]
+        assert decode_program(isa, encode_program(instructions)) == \
+            instructions

@@ -1,7 +1,10 @@
 """Unit tests for the Program container."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.generator import Generator
 from repro.isa import FUClass, Program, imm, make, reg
 
 
@@ -53,6 +56,18 @@ class TestContainer:
             program.instructions, name="other"
         )
         assert renamed.name == "other"
+
+    def test_with_instructions_starts_fresh_metadata(self, program):
+        synthesized = replace(
+            program, metadata={"genome": ("add_r64_r64",) * 1000}
+        )
+        minimized = synthesized.with_instructions(
+            synthesized.instructions[:1]
+        )
+        assert minimized.metadata == {}
+        assert Generator.genome_of(minimized) == ("mov_r64_imm64",)
+        minimized.metadata["note"] = "mine"
+        assert synthesized.metadata == {"genome": ("add_r64_r64",) * 1000}
 
     def test_frozen(self, program):
         with pytest.raises(Exception):

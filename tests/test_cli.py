@@ -1,8 +1,11 @@
 """Tests for the ``harpocrates`` CLI."""
 
+import random
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.checkpoint import LoopCheckpoint, encode_rng_state
 
 
 class TestParser:
@@ -140,6 +143,26 @@ class TestUsageErrors:
 
 
 class TestExplain:
+    def test_undecodable_best_program_exits_2(self, capsys, tmp_path):
+        record = {"name": "it00003_p00c01", "init_seed": 0,
+                  "data_size": 2048, "source": "muSeqGen",
+                  "code": "AA=="}  # opcode 0x00 is unassigned
+        LoopCheckpoint(
+            iteration=3, population=[],
+            rng_state=encode_rng_state(random.Random(0).getstate()),
+            best=[{"program": record, "fitness": 0.5,
+                   "total_cycles": 10, "crashed": False}],
+        ).save(str(tmp_path))
+        exit_code = main([
+            "explain", "int_adder", "--scale", "smoke",
+            "--resume", str(tmp_path),
+        ])
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error: program record "
+                              "'it00003_p00c01' does not decode")
+        assert len(err.strip().splitlines()) == 1
+
     def test_defaults_parse(self):
         parser = build_parser()
         args = parser.parse_args(["explain", "int_adder"])
